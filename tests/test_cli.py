@@ -202,6 +202,17 @@ def test_singular_forcing_at_mesh_point_is_validation_failure(tmp_path, capsys):
     assert "f[0]" in capsys.readouterr().err
 
 
+def test_non_finite_forcing_is_validation_failure(tmp_path, capsys):
+    # 0*exp(1000*x) is nan wherever exp overflows; no solution may be written
+    doc = {"n": 1, "eps": [1e-4], "A": [["1"]], "f": ["0*exp(1000*x)"],
+           "u_left": [0], "u_right": [0]}
+    out = tmp_path / "solution.csv"
+    code = main(["solve", _write_problem(tmp_path, doc), "--N", "16", "-o", str(out)])
+    assert code == 1
+    assert "f[0]: non-finite value nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_define_substitution(tmp_path):
     doc = {"n": 1, "eps": [1e-6], "A": [["COEF"]], "f": ["COEF - 1"],
            "u_left": [0], "u_right": [0]}

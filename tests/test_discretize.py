@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,14 +168,63 @@ def test_symmetric_problem_gives_symmetric_solution():
     assert np.max(np.abs(grid.values - grid.values[::-1])) <= 1e-10 * system.scale
 
 
+def _dump_reference(system) -> str:
+    """Every nonzero entry, row by row and in column order within a row, from full blocks."""
+    n, big_n = system.n, system.num_intervals
+    lines = ["%d %d %.17g\n" % (i, i, 1.0) for i in range(n)]
+    blocks = (system.sub_blocks, system.diag_blocks, system.super_blocks)
+    for k in range(big_n - 1):
+        for i in range(n):
+            for offset, block in enumerate(blocks):
+                for j in range(n):
+                    if block[k, i, j] != 0.0:
+                        lines.append("%d %d %.17g\n" % ((k + 1) * n + i, (k + offset) * n + j,
+                                                         block[k, i, j]))
+    lines += ["%d %d %.17g\n" % (big_n * n + i, big_n * n + i, 1.0) for i in range(n)]
+    return "".join(lines)
+
+
 def test_dense_dump_matches_block_structure():
     _, system = _shishkin_system(n_mesh=16)
     mat, vec = to_dense(system)
     buf = io.StringIO()
     dump_coordinates(system, buf)
+    assert buf.getvalue() == _dump_reference(system)
     rebuilt = np.zeros_like(mat)
     for line in buf.getvalue().splitlines():
         row, col, value = line.split()
         rebuilt[int(row), int(col)] = float(value)
     assert np.array_equal(rebuilt, mat)
     assert vec.size == mat.shape[0]
+
+
+@pytest.mark.parametrize("a_entry, f_entry, name", [
+    ("1", "0*exp(1000*x)", r"f\[0\]"),
+    ("1 + 0*exp(1000*x)", "1", r"A\[0\]\[0\]"),
+])
+def test_assembly_rejects_non_finite_values(a_entry, f_entry, name):
+    # exp(1000*x) overflows to inf beyond x = 0.71, and 0*inf is nan
+    spec = ProblemSpec.from_strings([1e-4], [[a_entry]], [f_entry], [0], [0])
+    mesh = build_mesh(transition_parameters(spec.eps, 0.9, 16, MeshOrder.FIRST))
+    with pytest.raises(CoefficientDomainError, match=name + r": non-finite value nan .* at node"):
+        assemble(spec, mesh)
+
+
+def test_coupling_is_stored_diagonal():
+    # the paper's large case: n = 3 at N = 16384; full coupling blocks
+    # would take 3.9 MiB, and the solve must stay within the memory that
+    # block-Thomas elimination needed (7.9 MiB)
+    spec = zmatrix_problem(np.random.default_rng(3), 3)
+    params = transition_parameters(spec.eps, compute_alpha(spec), 16384, MeshOrder.SECOND)
+    system = assemble(spec, build_mesh(params))
+    arrays = [getattr(system, f.name) for f in dataclasses.fields(system)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)] + [system.mesh.points]
+    assert sum(a.nbytes for a in arrays) <= 2.5 * 2**20
+    assert system.sub_blocks.shape == (16383, 3, 3)
+    tracemalloc.start()
+    try:
+        solve(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.9 * 2**20

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from block_thomas import block_thomas
 from helpers import zmatrix_problem
 from shishkin import (
-    DiscreteSystem,
     MeshOrder,
     ProblemSpec,
     SingularBlockError,
@@ -19,7 +22,9 @@ from shishkin import (
     solve,
     to_dense,
     transition_parameters,
+    with_eps,
 )
+from shishkin.mesh import Mesh
 
 
 def _system(spec, n_mesh=32, order=MeshOrder.FIRST):
@@ -123,21 +128,69 @@ def test_singular_block_raises_with_node_index():
     system = _system(spec, 16)
     blocks = system.diag_blocks.copy()
     blocks[0] = 0.0  # first pivot has no elimination contribution
-    broken = DiscreteSystem(
-        sub_blocks=system.sub_blocks.copy(),
-        diag_blocks=blocks,
-        super_blocks=system.super_blocks.copy(),
-        rhs=system.rhs.copy(),
-        boundary_left=system.boundary_left.copy(),
-        boundary_right=system.boundary_right.copy(),
-        mesh=system.mesh,
-        scale=system.scale,
-    )
+    broken = dataclasses.replace(system, diag_blocks=blocks)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SingularBlockError) as err:
             solve(broken)
     assert err.value.node == 1
+
+
+def test_singular_schur_complement_raises_with_its_node():
+    # rows 0 and 2 are eliminated on the first level, and the Schur
+    # complement of row 1 (node 2) is 2 - 1/1 - 1/1 = 0 exactly; it is
+    # the pivot block of the second level's first eliminated row
+    spec = ProblemSpec.from_strings([1e-6], [["1"]], ["1"], [0], [0])
+    system = _system(spec, 16)
+    coupling = np.full_like(system.sub_diag, -1.0)
+    blocks = np.full_like(system.diag_blocks, 4.0)
+    blocks[:3, 0, 0] = [1.0, 2.0, 1.0]
+    broken = dataclasses.replace(system, sub_diag=coupling, super_diag=coupling,
+                                 diag_blocks=blocks)
+    with pytest.raises(SingularBlockError) as err:
+        solve(broken)
+    assert err.value.node == 2
+    assert err.value.pivot == 0.0
+
+
+def _oracle_agrees(system):
+    grid = solve(system)
+    expected = block_thomas(system)
+    assert np.max(np.abs(grid.values - expected)) <= 1e-10 * system.scale
+    # the residual is of the elimination's order, or at the rounding level
+    # u (||A|| ||U|| + ||b||) of the matrix, whose entries reach eps/h^2
+    norm_a = max(1.0, float(np.max(np.abs(system.sub_diag) + np.abs(system.super_diag)
+                                   + np.abs(system.diag_blocks).sum(axis=2), initial=0.0)))
+    norm_b = max(float(np.max(np.abs(system.rhs), initial=0.0)),
+                 float(np.max(np.abs(system.boundary_left))),
+                 float(np.max(np.abs(system.boundary_right))))
+    floor = np.finfo(float).eps * (norm_a * float(np.max(np.abs(expected))) + norm_b)
+    assert max(grid.residual_norm, floor) <= 10.0 * max(residual_norm(system, expected), floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), extra=st.integers(0, 8), order=st.sampled_from(["first", "second"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cyclic_reduction_agrees_with_block_thomas(n, extra, order, seed, data):
+    # N = 2^(n+2) ... 2^10, eps log-uniform down to 1e-12
+    intervals = 2 ** min(n + 2 + extra, 10)
+    exponents = data.draw(st.lists(st.floats(-12.0, -1.0), min_size=n, max_size=n,
+                                   unique=True))
+    eps = sorted(10.0 ** e for e in exponents)
+    assume(len(set(eps)) == n)
+    spec = with_eps(zmatrix_problem(np.random.default_rng(seed), n, nonneg_data=False), eps)
+    _oracle_agrees(_system(spec, intervals, order))
+
+
+@pytest.mark.parametrize("intervals", [1, 2, 3, 5, 6, 7, 12])
+def test_interval_counts_other_than_powers_of_two(intervals):
+    # a hand-built mesh; the levels then hand an even row count down
+    rng = np.random.default_rng(intervals)
+    spec = zmatrix_problem(rng, 2, nonneg_data=False)
+    points = np.linspace(0.0, 1.0, intervals + 1)
+    mesh = Mesh(points=points, band_counts=(intervals,),
+                params=transition_parameters(spec.eps, 0.5, 16, MeshOrder.FIRST))
+    _oracle_agrees(assemble(spec, mesh))
 
 
 def test_ill_conditioning_flag_tracks_scale():
@@ -146,16 +199,7 @@ def test_ill_conditioning_flag_tracks_scale():
     spec = ProblemSpec.from_strings([1e-7, 1e-3], [["2", "-1"], ["-1", "2"]],
                                     ["1", "1"], [1, 1], [1, 1])
     system = _system(spec, 64)
-    shrunk = DiscreteSystem(
-        sub_blocks=system.sub_blocks.copy(),
-        diag_blocks=system.diag_blocks.copy(),
-        super_blocks=system.super_blocks.copy(),
-        rhs=system.rhs.copy(),
-        boundary_left=system.boundary_left.copy(),
-        boundary_right=system.boundary_right.copy(),
-        mesh=system.mesh,
-        scale=1e-18,
-    )
+    shrunk = dataclasses.replace(system, scale=1e-18)
     grid = solve(shrunk)
     assert grid.ill_conditioned
     assert solve(system).ill_conditioned is False
